@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/binding"
 	"repro/internal/core"
+	"repro/internal/dfmodel"
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/linalg"
@@ -527,23 +528,98 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 }
 
+// mappedInstances memoizes the optimal mappings of a 100-task chain and of
+// a 300-task random DAG, so the verification benchmarks solve each once per
+// bench run.
+var mappedInstances struct {
+	once sync.Once
+	list []mappedInstance
+	err  error
+}
+
+// mappedInstance is an instance together with its optimal mapping.
+type mappedInstance struct {
+	name string
+	cfg  *taskgraph.Config
+	m    *taskgraph.Mapping
+}
+
+func verifyInstances(b *testing.B) []mappedInstance {
+	mappedInstances.once.Do(func() {
+		for _, in := range []struct {
+			name string
+			cfg  *taskgraph.Config
+		}{
+			{"chain100", gen.Chain(gen.ChainOptions{Tasks: 100})},
+			{"dag300", gen.RandomDAG(gen.DAGOptions{Seed: 1, Tasks: 300})},
+		} {
+			r, err := core.Solve(context.Background(), in.cfg, core.Options{SkipVerification: true})
+			if err == nil && r.Status != core.StatusOptimal {
+				err = fmt.Errorf("%s: status %v", in.name, r.Status)
+			}
+			if err != nil {
+				mappedInstances.err = err
+				return
+			}
+			mappedInstances.list = append(mappedInstances.list, mappedInstance{in.name, in.cfg, r.Mapping})
+		}
+	})
+	if mappedInstances.err != nil {
+		b.Fatal(mappedInstances.err)
+	}
+	return mappedInstances.list
+}
+
 // BenchmarkMinPeriod measures the SRDF maximum-cycle-mean analysis (the
-// verification workhorse) on a 100-actor ring with chords.
+// verification workhorse) on a 100-actor ring with chords and on the SRDF
+// models of the optimal chain-100 and dag-300 mappings.
 func BenchmarkMinPeriod(b *testing.B) {
-	g := srdf.NewGraph()
+	ring := srdf.NewGraph()
 	const n = 100
 	ids := make([]srdf.ActorID, n)
 	for i := 0; i < n; i++ {
-		ids[i] = g.AddActor("", float64(1+i%7))
+		ids[i] = ring.AddActor("", float64(1+i%7))
 	}
 	for i := 0; i < n; i++ {
-		g.AddEdge("", ids[i], ids[(i+1)%n], 1+i%3)
-		g.AddEdge("", ids[i], ids[(i+13)%n], 2)
+		ring.AddEdge("", ids[i], ids[(i+1)%n], 1+i%3)
+		ring.AddEdge("", ids[i], ids[(i+13)%n], 2)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.MinPeriod(); err != nil {
+	type namedGraph struct {
+		name string
+		g    *srdf.Graph
+	}
+	graphs := []namedGraph{{"ring100", ring}}
+	for _, in := range verifyInstances(b) {
+		g, _, err := dfmodel.BuildGraph(in.cfg, in.cfg.Graphs[0], in.m)
+		if err != nil {
 			b.Fatal(err)
 		}
+		graphs = append(graphs, namedGraph{in.name, g})
+	}
+	for _, tc := range graphs {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := tc.g.MinPeriod(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkVerify measures dfmodel.Verify, the independent check every
+// solve runs on its rounded mapping, on the optimal chain-100 and dag-300
+// mappings.
+func BenchmarkVerify(b *testing.B) {
+	for _, in := range verifyInstances(b) {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v, err := dfmodel.Verify(in.cfg, in.m)
+				if err != nil || !v.OK {
+					b.Fatalf("%v %v", err, v.Problems)
+				}
+			}
+		})
 	}
 }

@@ -154,11 +154,16 @@ func Verify(c *taskgraph.Config, m *taskgraph.Mapping) (*Verification, error) {
 		v.Problems = append(v.Problems, fmt.Sprintf(format, args...))
 	}
 
-	for _, tg := range c.Graphs {
-		g, _, err := BuildGraph(c, tg, m)
+	// Each graph's SRDF model is built once and reused by the latency
+	// checks below.
+	models := make([]*srdf.Graph, len(c.Graphs))
+	indexes := make([]*Index, len(c.Graphs))
+	for i, tg := range c.Graphs {
+		g, idx, err := BuildGraph(c, tg, m)
 		if err != nil {
 			return nil, err
 		}
+		models[i], indexes[i] = g, idx
 		mp, err := g.MinPeriod()
 		if err == srdf.ErrDeadlock {
 			fail("graph %s: dataflow model deadlocks", tg.Name)
@@ -218,9 +223,9 @@ func Verify(c *taskgraph.Config, m *taskgraph.Mapping) (*Verification, error) {
 
 	// Latency constraints: the best schedule of the rounded mapping must
 	// meet each bound.
-	for _, tg := range c.Graphs {
+	for i, tg := range c.Graphs {
 		for _, lc := range tg.Latencies {
-			lat, err := LatencyBound(c, tg, m, lc.From, lc.To)
+			lat, err := latencyBound(models[i], indexes[i], tg.Period, lc.From, lc.To)
 			if err != nil {
 				fail("latency %s→%s: %v", lc.From, lc.To, err)
 				continue

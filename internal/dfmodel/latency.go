@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/srdf"
 	"repro/internal/taskgraph"
 )
 
@@ -24,6 +25,12 @@ func LatencyBound(c *taskgraph.Config, tg *taskgraph.TaskGraph, m *taskgraph.Map
 	if err != nil {
 		return 0, err
 	}
+	return latencyBound(g, idx, tg.Period, src, sink)
+}
+
+// latencyBound is LatencyBound on an already built SRDF graph g with index
+// idx, at the given period.
+func latencyBound(g *srdf.Graph, idx *Index, period float64, src, sink string) (float64, error) {
 	sa, ok := idx.Tasks[src]
 	if !ok {
 		return 0, fmt.Errorf("dfmodel: unknown source task %q", src)
@@ -32,9 +39,9 @@ func LatencyBound(c *taskgraph.Config, tg *taskgraph.TaskGraph, m *taskgraph.Map
 	if !ok {
 		return 0, fmt.Errorf("dfmodel: unknown sink task %q", sink)
 	}
-	d, err := g.LongestPaths(sa.V1, tg.Period)
+	d, err := g.LongestPaths(sa.V1, period)
 	if err != nil {
-		return 0, fmt.Errorf("dfmodel: mapping admits no PAS with period %v: %w", tg.Period, err)
+		return 0, fmt.Errorf("dfmodel: mapping admits no PAS with period %v: %w", period, err)
 	}
 	if math.IsInf(d[ka.V2], -1) {
 		return 0, fmt.Errorf("dfmodel: task %q is not downstream of %q", sink, src)

@@ -132,10 +132,15 @@ func (g *Graph) FeasiblePeriod(period float64) bool {
 var ErrDeadlock = errors.New("srdf: graph deadlocks (cycle without tokens)")
 
 // MinPeriod returns the smallest feasible period, i.e. the maximum cycle
-// mean max_C (Σ_{v∈C} ρ(v)) / (Σ_{e∈C} δ(e)), computed by Lawler's binary
-// search with Bellman-Ford feasibility tests. The result is accurate to a
-// relative tolerance of about 1e-12. Returns 0 for acyclic graphs (any
-// positive period is feasible) and ErrDeadlock for deadlocked graphs.
+// mean max_C (Σ_{v∈C} ρ(v)) / (Σ_{e∈C} δ(e)). Howard's policy iteration
+// finds a critical cycle; its ratio λ is the mean of an explicit cycle, so
+// it bounds the MCM from below, and one strict Bellman-Ford feasibility
+// test at λ certifies it from above. Only when that certificate fails, or
+// Howard stops at its iteration cap, does Lawler's binary search run, on
+// the bracket [λ, Σρ]. Either way the returned period passes the strict
+// feasibility test and is within about 1e-12 relative of the MCM. Returns 0
+// for acyclic graphs (any positive period is feasible) and ErrDeadlock for
+// deadlocked graphs.
 func (g *Graph) MinPeriod() (float64, error) {
 	if err := g.Validate(); err != nil {
 		return 0, err
@@ -143,6 +148,17 @@ func (g *Graph) MinPeriod() (float64, error) {
 	if !g.DeadlockFree() {
 		return 0, ErrDeadlock
 	}
+	lo, err := g.howardRatio()
+	if err != nil {
+		lo = 0 // no certified cycle: bisect from the trivial lower bound
+	}
+	return g.refineMinPeriod(lo)
+}
+
+// refineMinPeriod returns the smallest feasible period given a lower bound
+// lo ≤ MCM: lo itself when it passes the strict feasibility test, otherwise
+// the result of Lawler's binary search on [lo, Σρ].
+func (g *Graph) refineMinPeriod(lo float64) (float64, error) {
 	// Upper bound: sum of all durations (a simple cycle visits each actor at
 	// most once and carries at least one token).
 	var hi float64
@@ -152,10 +168,9 @@ func (g *Graph) MinPeriod() (float64, error) {
 	if hi == 0 {
 		return 0, nil
 	}
-	if g.feasibleExact(0) {
-		return 0, nil // acyclic (or all cycles have zero duration)
+	if g.feasibleExact(lo) {
+		return lo, nil // certified; lo = 0 means acyclic (or zero-duration cycles)
 	}
-	lo := 0.0
 	// hi must be feasible.
 	for !g.feasibleExact(hi) {
 		hi *= 2 // defensive; should not trigger
@@ -174,9 +189,9 @@ func (g *Graph) MinPeriod() (float64, error) {
 	return hi, nil
 }
 
-// feasibleExact is the strict Bellman-Ford feasibility test used by the
-// binary search (no tolerance slack, unlike StartTimes, so the bisection
-// brackets the true MCM).
+// feasibleExact is the strict Bellman-Ford feasibility test that certifies
+// MinPeriod's result (no tolerance slack, unlike StartTimes, so a passing
+// period is at least the true MCM up to rounding).
 func (g *Graph) feasibleExact(period float64) bool {
 	n := len(g.actors)
 	s := make([]float64, n)
@@ -196,10 +211,9 @@ func (g *Graph) feasibleExact(period float64) bool {
 	return false
 }
 
-// MinPeriodHoward computes the maximum cycle ratio by Howard's multi-chain
-// policy iteration, an independent algorithm used to cross-check MinPeriod.
-// Semantics match MinPeriod: 0 for acyclic graphs, ErrDeadlock on token-free
-// cycles.
+// MinPeriodHoward returns the cycle ratio found by Howard's policy
+// iteration alone, without MinPeriod's feasibility certificate. Semantics
+// match MinPeriod: 0 for acyclic graphs, ErrDeadlock on token-free cycles.
 func (g *Graph) MinPeriodHoward() (float64, error) {
 	if err := g.Validate(); err != nil {
 		return 0, err
@@ -207,39 +221,54 @@ func (g *Graph) MinPeriodHoward() (float64, error) {
 	if !g.DeadlockFree() {
 		return 0, ErrDeadlock
 	}
+	return g.howardRatio()
+}
+
+// errHowardCap reports that policy iteration did not converge within
+// howardMaxIters.
+var errHowardCap = errors.New("srdf: Howard iteration did not converge")
+
+// howardMaxIters caps policy iteration on an n-actor graph. Howard's
+// algorithm has no useful worst-case bound but converges in a handful of
+// iterations in practice. Each iteration costs O(E), so n+64 iterations
+// cost about one infeasible (n+1)-round Bellman-Ford run, a single
+// bisection step; past that, bisection is the cheaper way to finish.
+func howardMaxIters(n int) int { return n + 64 }
+
+// howardRatio computes the maximum cycle ratio by Howard's multi-chain
+// policy iteration. The result is the ratio of an explicit cycle of g (0
+// when g is acyclic), hence a lower bound on the MCM; it equals the MCM
+// when the iteration converges exactly. The caller has checked liveness.
+func (g *Graph) howardRatio() (float64, error) {
 	n := len(g.actors)
-	// Strip actors that cannot lie on or reach a cycle: repeatedly remove
-	// nodes without out-edges into the remaining set.
+	// Strip actors that cannot lie on or reach a cycle: peel actors whose
+	// out-edges all lead to stripped actors, in linear time.
 	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	for {
-		changed := false
-		for a := 0; a < n; a++ {
-			if !alive[a] {
-				continue
-			}
-			has := false
-			for _, eid := range g.out[a] {
-				if alive[g.edges[eid].To] {
-					has = true
-					break
-				}
-			}
-			if !has {
-				alive[a] = false
-				changed = true
-			}
+	outDeg := make([]int, n)
+	queue := make([]int, 0, n)
+	for a := 0; a < n; a++ {
+		alive[a] = true
+		outDeg[a] = len(g.out[a])
+		if outDeg[a] == 0 {
+			queue = append(queue, a)
 		}
-		if !changed {
-			break
+	}
+	for len(queue) > 0 {
+		a := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		alive[a] = false
+		for _, eid := range g.in[a] {
+			from := int(g.edges[eid].From)
+			if outDeg[from]--; outDeg[from] == 0 {
+				queue = append(queue, from)
+			}
 		}
 	}
 	anyAlive := false
 	for _, v := range alive {
 		if v {
 			anyAlive = true
+			break
 		}
 	}
 	if !anyAlive {
@@ -265,11 +294,11 @@ func (g *Graph) MinPeriodHoward() (float64, error) {
 
 	lam := make([]float64, n) // per-node cycle ratio under the policy
 	d := make([]float64, n)   // relative values
-	const maxIters = 100000
-	for iter := 0; iter < maxIters; iter++ {
+	state := make([]int8, n)  // 0 new, 1 on current walk, 2 resolved
+	order := make([]int, 0, n)
+	for iter, maxIters := 0, howardMaxIters(n); iter < maxIters; iter++ {
 		// ---- Value determination for the functional policy graph ----
-		state := make([]int, n) // 0 new, 1 on current walk, 2 resolved
-		order := make([]int, 0, n)
+		clear(state)
 		for a0 := 0; a0 < n; a0++ {
 			if !alive[a0] || state[a0] != 0 {
 				continue
@@ -363,7 +392,7 @@ func (g *Graph) MinPeriodHoward() (float64, error) {
 			return best, nil
 		}
 	}
-	return 0, errors.New("srdf: Howard iteration did not converge")
+	return 0, errHowardCap
 }
 
 // SelfTimed simulates self-timed (ASAP) execution for k firings of every

@@ -1,6 +1,7 @@
 package srdf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -76,13 +77,78 @@ func TestMCMAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestHowardAgreesWithLawler cross-checks the two MCM algorithms on larger
-// random graphs.
+// minPeriodBisect is the reference maximum cycle mean: Lawler's binary
+// search over the full bracket [0, Σρ] with strict Bellman-Ford feasibility
+// tests, independent of Howard's policy iteration.
+func minPeriodBisect(g *Graph) (float64, error) {
+	if err := g.Validate(); err != nil {
+		return 0, err
+	}
+	if !g.DeadlockFree() {
+		return 0, ErrDeadlock
+	}
+	var hi float64
+	for _, a := range g.actors {
+		hi += a.Duration
+	}
+	if hi == 0 || g.feasibleExact(0) {
+		return 0, nil
+	}
+	lo := 0.0
+	for !g.feasibleExact(hi) {
+		hi *= 2
+	}
+	for iter := 0; iter < 100 && hi-lo > 1e-12*hi; iter++ {
+		mid := (lo + hi) / 2
+		if g.feasibleExact(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, nil
+}
+
+// relClose reports whether a and b agree to the relative tolerance tol.
+func relClose(a, b, tol float64) bool {
+	return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// checkCertified fails the test unless MinPeriod's result passes the strict
+// feasibility test and is within a relative 1e-12 of want.
+func checkCertified(t *testing.T, name string, g *Graph, want float64) {
+	t.Helper()
+	got, err := g.MinPeriod()
+	if err != nil {
+		t.Fatalf("%s: MinPeriod: %v", name, err)
+	}
+	if !g.feasibleExact(got) {
+		t.Fatalf("%s: MinPeriod %v fails the feasibility test", name, got)
+	}
+	if !relClose(got, want, 1e-12) {
+		t.Fatalf("%s: MinPeriod %v, oracle %v (rel diff %.3g)",
+			name, got, want, math.Abs(got-want)/want)
+	}
+}
+
+// checkAgainstBisect is checkCertified against the bisection oracle.
+func checkAgainstBisect(t *testing.T, name string, g *Graph) {
+	t.Helper()
+	want, err := minPeriodBisect(g)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	checkCertified(t, name, g, want)
+}
+
+// TestHowardAgreesWithLawler cross-checks MinPeriod, and Howard's iteration
+// on its own, against the bisection oracle on larger random graphs.
 func TestHowardAgreesWithLawler(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for trial := 0; trial < 60; trial++ {
 		g := randLiveGraph(rng, 2+rng.Intn(20))
-		lawler, err := g.MinPeriod()
+		checkAgainstBisect(t, fmt.Sprintf("trial %d", trial), g)
+		lawler, err := minPeriodBisect(g)
 		if err != nil {
 			t.Fatalf("trial %d lawler: %v", trial, err)
 		}
@@ -92,6 +158,70 @@ func TestHowardAgreesWithLawler(t *testing.T) {
 		}
 		if !almostEqual(lawler, howard, 1e-7) {
 			t.Fatalf("trial %d: lawler %v != howard %v", trial, lawler, howard)
+		}
+	}
+}
+
+// randTailGraph is randLiveGraph with acyclic chains feeding into the ring
+// and hanging off it, so Howard's iteration must strip actors that cannot
+// reach a cycle.
+func randTailGraph(rng *rand.Rand, n, tail int) *Graph {
+	g := randLiveGraph(rng, n)
+	prev := ActorID(rng.Intn(n))
+	for i := 0; i < tail; i++ { // ring → tail
+		a := g.AddActor("", rng.Float64()*50)
+		g.AddEdge("", prev, a, rng.Intn(2))
+		prev = a
+	}
+	next := ActorID(rng.Intn(n))
+	for i := 0; i < tail; i++ { // tail → ring
+		a := g.AddActor("", rng.Float64()*50)
+		g.AddEdge("", a, next, rng.Intn(2))
+		next = a
+	}
+	return g
+}
+
+// TestMinPeriodCertified: every period MinPeriod returns passes the strict
+// feasibility test and is within 1e-12 relative of the MCM, on
+// ring-with-chords graphs and on graphs with long acyclic tails. The tail
+// graphs are checked against exact cycle enumeration (their cycles all lie
+// in the small ring): the bisection oracle's feasibility test tolerates a
+// slack proportional to the start times, which the tails make large enough
+// to move its answer by about 1e-12 relative.
+func TestMinPeriodCertified(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 100; trial++ {
+		checkAgainstBisect(t, fmt.Sprintf("ring trial %d", trial), randLiveGraph(rng, 2+rng.Intn(60)))
+	}
+	for trial := 0; trial < 40; trial++ {
+		g := randTailGraph(rng, 2+rng.Intn(20), rng.Intn(200))
+		checkCertified(t, fmt.Sprintf("tail trial %d", trial), g, bruteForceMCM(g))
+	}
+}
+
+// TestRefineMinPeriodFallback drives the bisection fallback directly: from
+// a lower bound that fails the feasibility certificate, refineMinPeriod must
+// still land on the oracle's period.
+func TestRefineMinPeriodFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	for trial := 0; trial < 40; trial++ {
+		g := randLiveGraph(rng, 2+rng.Intn(30))
+		want, err := minPeriodBisect(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lo := range []float64{0, 0.5 * want, want * (1 - 1e-6)} {
+			if g.feasibleExact(lo) {
+				t.Fatalf("trial %d: λ=%v below the MCM %v passes the certificate", trial, lo, want)
+			}
+			got, err := g.refineMinPeriod(lo)
+			if err != nil {
+				t.Fatalf("trial %d λ=%v: %v", trial, lo, err)
+			}
+			if !g.feasibleExact(got) || !relClose(got, want, 1e-12) {
+				t.Fatalf("trial %d λ=%v: refined %v, oracle %v", trial, lo, got, want)
+			}
 		}
 	}
 }

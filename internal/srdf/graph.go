@@ -5,8 +5,10 @@
 //   - existence of a periodic admissible schedule (PAS) with a given period
 //     (the paper's Constraint (1)),
 //   - the minimum feasible period, i.e. the maximum cycle mean
-//     max over cycles of (Σ firing durations)/(Σ tokens), computed both by
-//     Lawler's binary search and by Howard's policy iteration,
+//     max over cycles of (Σ firing durations)/(Σ tokens), found by Howard's
+//     policy iteration and certified by one strict Bellman-Ford
+//     feasibility test, with Lawler's binary search as the fallback when
+//     the certificate fails,
 //   - PAS start times via Bellman-Ford longest paths,
 //   - self-timed (ASAP) execution, whose steady-state rate equals 1/MCM by
 //     SRDF theory and which provides an independent check on the analyses.
