@@ -106,6 +106,29 @@ func TestLadderFallsBackToDenseOracle(t *testing.T) {
 	}
 }
 
+// TestLadderReachesDenseKKTOnBuilderProblems pins the full ladder on a
+// Builder-made program that no rung rescues (a known numerical defect of
+// RandomDAG seed 5185738762941758416 at 45 tasks): the solve must still try
+// every rung through the all-dense oracle, and every rung must end in a
+// solver status, never a hard error such as a carrier mismatch.
+func TestLadderReachesDenseKKTOnBuilderProblems(t *testing.T) {
+	cfg := gen.RandomDAG(gen.DAGOptions{Seed: 5185738762941758416, Tasks: 45})
+	res, err := Solve(context.Background(), cfg, Options{})
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	want := []string{"sparse", "sparse", "dense-factor", "dense-kkt"}
+	rep := res.Report
+	if rep == nil || len(rep.Attempts) != len(want) {
+		t.Fatalf("report = %+v, want %d attempts", rep, len(want))
+	}
+	for k, a := range rep.Attempts {
+		if a.Backend != want[k] || a.Status != socp.StatusNumericalError || a.Err != "" {
+			t.Fatalf("attempt %d = %+v, want %s ending in a numerical error status", k, a, want[k])
+		}
+	}
+}
+
 func TestLadderRecoversFromNaNRHS(t *testing.T) {
 	// Poison the KKT right-hand side of the first factored solve with NaNs:
 	// the iteration collapses numerically and the retry (with the injection

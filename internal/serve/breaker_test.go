@@ -236,3 +236,36 @@ func TestBreakerIsPerPattern(t *testing.T) {
 		t.Fatalf("snapshot patterns=%d open=%d opens=%d, want 2/1/1", patterns, openNow, opensTotal)
 	}
 }
+
+// TestBreakerForcedDenseKKT drives the breaker to the all-dense rung on a
+// Builder-made problem: the sparse factorization fails for good and the
+// dense factorizations fail once, so the ladder recovers on dense-kkt and
+// the breaker opens on it. The degraded request forced straight to
+// dense-kkt must then solve on its own, with no solver error.
+func TestBreakerForcedDenseKKT(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, BreakerTrip: 1, BreakerProbeEvery: 10})
+	cfg := gen.Chain(gen.ChainOptions{Tasks: 4})
+	defer faultinject.Activate(
+		faultinject.Rule{Site: faultinject.SiteSparseLDLT, Kind: faultinject.KindError},
+		faultinject.Rule{Site: faultinject.SiteDenseCholesky, Kind: faultinject.KindError, Count: 1},
+		faultinject.Rule{Site: faultinject.SiteDenseLDLT, Kind: faultinject.KindError, Count: 1},
+	)()
+	res, mode, err := s.Solve(context.Background(), cfg, false)
+	if err != nil || res.Status != core.StatusOptimal || mode != modeNormal {
+		t.Fatalf("trip solve: status %v mode %v err %v", res.Status, mode, err)
+	}
+	if !res.Report.Recovered || res.Report.FinalBackend != "dense-kkt" {
+		t.Fatalf("trip report %+v, want recovery on dense-kkt", res.Report)
+	}
+
+	res, mode, err = s.Solve(context.Background(), cfg, false)
+	if err != nil {
+		t.Fatalf("forced dense-kkt solve: %v", err)
+	}
+	if mode != modeDegraded || res.Status != core.StatusOptimal {
+		t.Fatalf("forced solve: mode %v status %v, want degraded and optimal", mode, res.Status)
+	}
+	if len(res.Report.Attempts) != 1 || res.Report.FinalBackend != "dense-kkt" || res.Report.Attempts[0].Err != "" {
+		t.Fatalf("forced report %+v, want one clean dense-kkt attempt", res.Report)
+	}
+}
