@@ -186,6 +186,7 @@ func BenchmarkSweepWarmVsCold(b *testing.B) {
 		{"warm", core.Options{SkipVerification: true, Parallelism: 1, WarmChunk: len(caps)}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pts, err := core.SweepBufferCaps(context.Background(), cfg, nil, caps, mode.opt)
 				if err != nil {
@@ -294,21 +295,22 @@ func BenchmarkFactorizeSparseVsDense(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		n := p.G.Cols
-		gsp := linalg.NewSparseFromDense(p.G)
+		gsp := p.GSparse
+		gd := gsp.ToDense()
+		n := gsp.Cols
 		rhs := linalg.NewVector(n)
 		for i := range rhs {
 			rhs[i] = 1 + float64(i%7)
 		}
 		hd := linalg.NewMatrix(n, n)
-		p.G.AtAInto(hd)
+		gd.AtAInto(hd)
 		reg := 1e-13 * (1 + hd.NormInf())
 		b.Run(fmt.Sprintf("%s/n=%d/dense", inst.name, n), func(b *testing.B) {
 			b.ReportAllocs()
 			x := linalg.NewVector(n)
 			for i := 0; i < b.N; i++ {
 				h := linalg.NewMatrix(n, n)
-				p.G.AtAInto(h)
+				gd.AtAInto(h)
 				hreg := linalg.NewMatrix(n, n)
 				copy(hreg.Data, h.Data)
 				for j := 0; j < n; j++ {
@@ -366,9 +368,6 @@ func dagNormalEq(b *testing.B, tasks int) (gsp *linalg.SparseMatrix, h *linalg.S
 		b.Fatal(err)
 	}
 	gsp = p.GSparse
-	if gsp == nil {
-		gsp = linalg.NewSparseFromDense(p.G)
-	}
 	h = linalg.NewSparseAtA(gsp)
 	h.Compute(gsp)
 	return gsp, h
@@ -422,9 +421,6 @@ func BenchmarkFactorization(b *testing.B) {
 			b.Fatal(err)
 		}
 		gsp := p.GSparse
-		if gsp == nil {
-			gsp = linalg.NewSparseFromDense(p.G)
-		}
 		ata := linalg.NewSparseAtA(gsp)
 		ata.Compute(gsp)
 		h := ata.Result

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -12,22 +13,19 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// csrForms returns the Algorithm 1 program of cfg twice: once with the
-// constraint matrix in CSR form (GSparse) and once as its densified copy
-// (G). Both share C, H, A, B, and Dims; only the carrier of G differs.
+// csrForms returns the Algorithm 1 program of cfg as BuildProblem emits it,
+// with G in CSR form, and a copy carrying the densified G instead. Both
+// share C, H, A, B, and Dims; only the carrier of G differs.
 func csrForms(t *testing.T, cfg *taskgraph.Config) (csr, dense *socp.Problem) {
 	t.Helper()
 	p, err := BuildProblem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs := p.GSparse
-	if gs == nil {
-		gs = linalg.NewSparseFromDense(p.G)
+	if p.G != nil || p.GSparse == nil {
+		t.Fatal("BuildProblem did not emit a CSR-only constraint matrix")
 	}
-	csr = &socp.Problem{C: p.C, GSparse: gs, H: p.H, A: p.A, B: p.B, Dims: p.Dims}
-	dense = &socp.Problem{C: p.C, G: gs.ToDense(), H: p.H, A: p.A, B: p.B, Dims: p.Dims}
-	return csr, dense
+	return p, &socp.Problem{C: p.C, G: p.GSparse.ToDense(), H: p.H, A: p.A, B: p.B, Dims: p.Dims}
 }
 
 // sameSolutionBits reports the first difference between two solutions in
@@ -125,5 +123,27 @@ func TestCSRMatchesDensifiedGWarmSweep(t *testing.T) {
 			t.Fatalf("cap %d: dense-G vs CSR: %v", cap, err)
 		}
 		csrWarm, denseWarm = want.Warm(), got.Warm()
+	}
+}
+
+// TestBuildProblemAllocBound guards the CSR-only build: the chain-100
+// program (about 900 cone rows by 500 variables, under 2k nonzeros) must
+// allocate well under the 3.6 MB its dense G alone would take.
+func TestBuildProblemAllocBound(t *testing.T) {
+	cfg := gen.Chain(gen.ChainOptions{Tasks: 100})
+	if _, err := BuildProblem(cfg); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := BuildProblem(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= 1<<20 {
+		t.Fatalf("BuildProblem(chain-100) allocated %d bytes per build, want < 1 MB", perOp)
 	}
 }

@@ -120,11 +120,11 @@ func backendName(opt socp.Options, kktDim int) string {
 // dense factorization, and finally the all-dense oracle — skipping rungs
 // the starting configuration already is at or past. Every rung after the
 // first runs cold: reusing a warm start that just failed would re-import
-// the failure. kktDim resolves FactorAuto; hasDenseG gates the dense-kkt
-// rung, which cannot run when the problem carries its constraint matrix
-// only in CSR form (materializing the dense G would be gigabytes on
-// exactly the instances that select the supernodal backend).
-func ladder(opt socp.Options, kktDim int, hasDenseG bool) []socp.Options {
+// the failure. kktDim resolves FactorAuto; denseFits gates the dense-kkt
+// rung, which densifies G when it runs and is therefore offered only to
+// problems below socp.DenseKKTMaxCells (the dense G of the instances that
+// select the supernodal backend would be gigabytes).
+func ladder(opt socp.Options, kktDim int, denseFits bool) []socp.Options {
 	steps := []socp.Options{opt}
 	if opt.WarmStart != nil {
 		cold := opt
@@ -148,7 +148,7 @@ func ladder(opt socp.Options, kktDim int, hasDenseG bool) []socp.Options {
 		df.Factorization = socp.FactorDense
 		steps = append(steps, df)
 	}
-	if !opt.DenseKKT && hasDenseG {
+	if !opt.DenseKKT && denseFits {
 		dk := esc
 		dk.DenseKKT = true
 		steps = append(steps, dk)
@@ -176,7 +176,7 @@ func solveConic(ctx context.Context, prob *socp.Problem, opt socp.Options) (*soc
 	}
 	var sol *socp.Solution
 	var err error
-	for k, aopt := range ladder(opt, kktDim, prob.G != nil) {
+	for k, aopt := range ladder(opt, kktDim, prob.DenseKKTFits()) {
 		if k > 0 && ctx.Err() != nil {
 			// Canceled between rungs: stop retrying, keep the report of the
 			// attempts that did run. The last attempt's solution (a

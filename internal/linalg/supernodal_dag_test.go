@@ -26,9 +26,6 @@ func TestSupernodalDAGParallelBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	gsp := p.GSparse
-	if gsp == nil {
-		gsp = linalg.NewSparseFromDense(p.G)
-	}
 	ata := linalg.NewSparseAtA(gsp)
 	ata.Compute(gsp)
 	h := ata.Result

@@ -126,31 +126,12 @@ func (b *Builder) AddProductGE(u, v int, k float64) int {
 // AddEq adds the equality constraint a = 0.
 func (b *Builder) AddEq(a Affine) { b.eqRows = append(b.eqRows, a) }
 
-// fillRow writes the affine expression a as row r of G and entry r of h
-// using the convention s_r = h_r − G_r·x = a(x).
-func fillRow(g *linalg.Matrix, h linalg.Vector, r int, a Affine, nvars int) error {
-	h[r] = a.Const
-	for _, t := range a.Terms {
-		if t.Var < 0 || t.Var >= nvars {
-			return fmt.Errorf("socp: term references unknown variable %d", t.Var)
-		}
-		g.Add(r, t.Var, -t.Coef)
-	}
-	return nil
-}
-
-// sparseBuildCells is the dense G size (rows·cols) past which Build
-// assembles the constraint matrix directly in CSR form. Generated instances
-// with thousands of tasks have dense G footprints in the gigabytes while
-// each row touches a handful of variables; below the threshold the dense
-// form is kept because small-problem callers index p.G directly.
-const sparseBuildCells = 1 << 22 // 4M cells = 32 MB of float64
-
-// Build converts the accumulated constraints into a Problem. Past
-// sparseBuildCells the constraint matrix is emitted in CSR form
-// (Problem.GSparse) with exactly the pattern and values the dense build
-// would produce via NewSparseFromDense — duplicate terms accumulated, exact
-// zeros dropped — so the two forms solve bit-identically.
+// Build converts the accumulated constraints into a Problem. The constraint
+// matrix is always emitted in CSR form (Problem.GSparse), because each
+// Algorithm 1 row touches only two or three variables. The CSR carries
+// exactly the pattern and values NewSparseFromDense gives for the dense
+// matrix of the same rows — duplicate terms accumulated, exact zeros
+// dropped — so a caller who densifies it solves bit-identically.
 func (b *Builder) Build() (*Problem, error) {
 	n := len(b.names)
 	dims := cone.Dims{NonNeg: len(b.lin)}
@@ -163,31 +144,11 @@ func (b *Builder) Build() (*Problem, error) {
 		H:    linalg.NewVector(m),
 		Dims: dims,
 	}
-	if m*n >= sparseBuildCells {
-		gs, err := b.buildSparseG(n, m, p.H)
-		if err != nil {
-			return nil, err
-		}
-		p.GSparse = gs
-	} else {
-		g := linalg.NewMatrix(m, n)
-		r := 0
-		for _, a := range b.lin {
-			if err := fillRow(g, p.H, r, a, n); err != nil {
-				return nil, err
-			}
-			r++
-		}
-		for _, blk := range b.soc {
-			for _, a := range blk {
-				if err := fillRow(g, p.H, r, a, n); err != nil {
-					return nil, err
-				}
-				r++
-			}
-		}
-		p.G = g
+	gs, err := b.buildSparseG(n, m, p.H)
+	if err != nil {
+		return nil, err
 	}
+	p.GSparse = gs
 	if len(b.eqRows) > 0 {
 		a := linalg.NewMatrix(len(b.eqRows), n)
 		bb := linalg.NewVector(len(b.eqRows))
@@ -210,11 +171,11 @@ func (b *Builder) Build() (*Problem, error) {
 	return p, nil
 }
 
-// buildSparseG assembles the constraint rows straight into CSR form through
-// a dense scratch row: terms accumulate into the scratch (duplicates sum,
-// like the dense g.Add path), then the touched columns are emitted in
-// ascending order with exact zeros dropped — the same normalization
-// NewSparseFromDense applies to the dense build, entry for entry.
+// buildSparseG assembles the constraint rows into CSR form through a dense
+// scratch row, using the convention s_r = h_r − G_r·x = a(x): terms
+// accumulate into the scratch (duplicates sum), then the touched columns are
+// emitted in ascending order with exact zeros dropped — the normalization
+// NewSparseFromDense applies, entry for entry.
 func (b *Builder) buildSparseG(n, m int, h linalg.Vector) (*linalg.SparseMatrix, error) {
 	gs := &linalg.SparseMatrix{Rows: m, Cols: n, RowPtr: make([]int, m+1)}
 	scratch := make(linalg.Vector, n)

@@ -38,13 +38,6 @@ type PatternCache struct {
 	mu      sync.Mutex
 	entries map[uint64][]*patternEntry
 
-	// dense pools the equilibration workspace (the scaled copy of the dense
-	// G) by matrix dimensions, so cached sweep solves skip the largest
-	// per-solve allocation. The workspace is fully overwritten before use,
-	// so pooling cannot change results.
-	denseMu sync.Mutex
-	dense   map[[2]int]*sync.Pool
-
 	hits   atomic.Int64
 	misses atomic.Int64
 }
@@ -72,44 +65,6 @@ func NewPatternCache() *PatternCache {
 	return &PatternCache{
 		syms:    linalg.NewSymbolicCache(),
 		entries: map[uint64][]*patternEntry{},
-		dense:   map[[2]int]*sync.Pool{},
-	}
-}
-
-// acquireDense returns a rows×cols dense workspace matrix with unspecified
-// contents — the caller overwrites every entry. Pooled by dimensions.
-//
-//bbvet:hotpath
-func (pc *PatternCache) acquireDense(rows, cols int) *linalg.Matrix {
-	pc.denseMu.Lock()
-	p := pc.dense[[2]int{rows, cols}]
-	if p == nil {
-		//bbvet:allow hotalloc first acquire of a dimension only, measured cold
-		p = &sync.Pool{}
-		pc.dense[[2]int{rows, cols}] = p
-	}
-	pc.denseMu.Unlock()
-	if m, ok := p.Get().(*linalg.Matrix); ok {
-		return m
-	}
-	//bbvet:allow hotalloc pool empty: first workspace of this dimension, measured cold
-	return linalg.NewMatrix(rows, cols)
-}
-
-// releaseDense returns a workspace obtained from acquireDense. The caller
-// must not use m afterwards.
-//
-//bbvet:hotpath
-func (pc *PatternCache) releaseDense(m *linalg.Matrix) {
-	if m == nil {
-		return
-	}
-	pc.denseMu.Lock()
-	p := pc.dense[[2]int{m.Rows, m.Cols}]
-	pc.denseMu.Unlock()
-	if p != nil {
-		//bbvet:allow hotalloc pointer stored in interface directly, no allocation; AllocsPerRun guards pin it
-		p.Put(m)
 	}
 }
 

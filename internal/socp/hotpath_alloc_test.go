@@ -46,7 +46,7 @@ func TestPatternCacheReacquireAllocFree(t *testing.T) {
 	for _, eq := range []bool{false, true} {
 		for _, backend := range []Factorization{FactorSparse, FactorSupernodal} {
 			p := randomProblem(rng, 14, 10, 2, 0.3, eq)
-			sv := p.sparse()
+			sv := newSparseView(p.csr())
 			pc := NewPatternCache()
 			m := p.Dims.Dim()
 			s, z := linalg.NewVector(m), linalg.NewVector(m)
@@ -94,7 +94,7 @@ func TestPerIterationRefactorizationAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, eq := range []bool{false, true} {
 		p := randomProblem(rng, 14, 10, 2, 0.3, eq)
-		sv := p.sparse()
+		sv := newSparseView(p.csr())
 		ne := sv.normalEq(nil, FactorSparse, 1)
 		m := p.Dims.Dim()
 		s, z := linalg.NewVector(m), linalg.NewVector(m)

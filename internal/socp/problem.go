@@ -25,13 +25,12 @@ import (
 )
 
 // Problem is a conic program in inequality/equality standard form.
-// A and b may be nil (no equality constraints). The constraint matrix is
-// given either densely in G or in CSR form in GSparse — exactly one of the
-// two — and must have Dims.Dim() rows. Large generated instances use GSparse
-// (the Builder switches automatically past a size threshold): their dense G
-// would be gigabytes while the actual structure is a few entries per row.
-// The GSparse path requires a sparse-capable configuration: Options.DenseKKT
-// is rejected by Solve when no dense G exists.
+// A and b may be nil (no equality constraints). The constraint matrix has
+// Dims.Dim() rows and is given in exactly one of two carriers: GSparse
+// (CSR), which the Builder always emits, or a dense G, accepted as input
+// only. The solver works on CSR alone; a dense G is converted once when the
+// solve starts, and the result is bit-identical to handing over its CSR
+// form.
 type Problem struct {
 	C       linalg.Vector
 	G       *linalg.Matrix
@@ -40,20 +39,6 @@ type Problem struct {
 	A       *linalg.Matrix // optional
 	B       linalg.Vector  // optional, len = A.Rows
 	Dims    cone.Dims
-
-	// sv is the lazily-built sparse view of G and A used by the solver's
-	// sparse KKT path. It caches the symbolic sparsity pattern of the scaled
-	// constraint matrix, which is fixed across all interior-point iterations.
-	// Callers must not mutate G or A after the first Solve.
-	sv *sparseView
-}
-
-// sparse returns the problem's sparse view, building it on first use.
-func (p *Problem) sparse() *sparseView {
-	if p.sv == nil {
-		p.sv = newSparseView(p)
-	}
-	return p.sv
 }
 
 // Validate checks the problem shapes.
@@ -166,10 +151,12 @@ type Options struct {
 	// diagonal; default 1e-13 (scaled by the matrix norm).
 	KKTReg float64
 	// DenseKKT disables the sparse normal-equations fast path and assembles
-	// Gᵀ W⁻² G from a dense copy of G every iteration, as the solver did
-	// before the sparse path existed. The dense path is the correctness
-	// oracle the sparse path is tested against; it always factorizes
-	// densely, regardless of Factorization.
+	// Gᵀ W⁻² G from a dense copy of the equilibrated G every iteration, as
+	// the solver did before the sparse path existed. The dense path is the
+	// correctness oracle the sparse path is tested against; it always
+	// factorizes densely, regardless of Factorization. The dense copy is
+	// made only when this option is set, and only for problems below
+	// DenseKKTMaxCells; Solve rejects DenseKKT on larger ones.
 	DenseKKT bool
 	// Factorization selects the factorization backend used with the sparse
 	// assembly path. FactorSparse runs the sparse simplicial LDLᵀ pipeline
@@ -215,6 +202,17 @@ type Options struct {
 	// Parallel sweeps that trace should hand every solve its own writer so
 	// the per-iteration lines of concurrent solves do not interleave.
 	TraceOut io.Writer
+}
+
+// DenseKKTMaxCells is the size m·n of G (cone rows × variables) from which
+// Options.DenseKKT is rejected: densifying G costs 8 bytes per cell, so the
+// all-dense oracle stops at 32 MB of float64.
+const DenseKKTMaxCells = 1 << 22
+
+// DenseKKTFits reports whether Options.DenseKKT can run on p, that is
+// whether its dense G stays below DenseKKTMaxCells.
+func (p *Problem) DenseKKTFits() bool {
+	return p.Dims.Dim()*len(p.C) < DenseKKTMaxCells
 }
 
 // Factorization selects the KKT factorization backend; see

@@ -10,10 +10,9 @@ import (
 // can be mapped back to the original coordinates and caller-supplied warm
 // starts can be mapped forward into the equilibrated ones.
 type eqScales struct {
-	costScale float64        // c̃ = c / σc
-	rowScale  linalg.Vector  // row i of (G̃ | h̃) = row i of (G | h) / rowScale[i]
-	eqScale   linalg.Vector  // row i of (Ã | b̃) = row i of (A | b) / eqScale[i]; nil without equalities
-	pooledG   *linalg.Matrix // scaled-G workspace borrowed from a PatternCache; returned after the solve
+	costScale float64       // c̃ = c / σc
+	rowScale  linalg.Vector // row i of (G̃ | h̃) = row i of (G | h) / rowScale[i]
+	eqScale   linalg.Vector // row i of (Ã | b̃) = row i of (A | b) / eqScale[i]; nil without equalities
 }
 
 // equilibrate rescales the problem so the interior-point iterations are
@@ -25,88 +24,12 @@ type eqScales struct {
 //     cone), and likewise for rows of (A | b);
 //   - the cost vector is divided by max(1, ‖c‖∞).
 //
-// It returns the scaled problem plus the applied scales; unscale restores
-// the solution of the original problem (x is unchanged; slacks, duals, and
-// objective values are rescaled).
-func equilibrate(p *Problem, pc *PatternCache) (*Problem, *eqScales) {
-	if p.GSparse != nil {
-		return equilibrateSparse(p)
-	}
-	n := len(p.C)
-	m := p.Dims.Dim()
-
-	costScale := math.Max(1, linalg.NormInf(p.C))
-	c := p.C.Clone()
-	c.Scale(1 / costScale)
-
-	// The scaled copy of G is the largest per-solve allocation; borrow it
-	// from the pattern cache's dimension-keyed pool when one is in play.
-	// Every entry is overwritten by the copy below, so the borrowed buffer
-	// cannot leak values between solves.
-	var g *linalg.Matrix
-	var pooled *linalg.Matrix
-	if pc != nil {
-		pooled = pc.acquireDense(p.G.Rows, p.G.Cols)
-		copy(pooled.Data, p.G.Data)
-		g = pooled
-	} else {
-		g = p.G.Clone()
-	}
-	h := p.H.Clone()
-	rowScale := make(linalg.Vector, m)
-	rowNorm := func(i int) float64 {
-		return linalg.NormInf(g.Data[i*n : (i+1)*n])
-	}
-	// Orthant rows scale independently. Including |h| in the scale keeps
-	// loose capacity constraints (tiny coefficients, huge bound) from
-	// dominating the least-squares starting point.
-	for i := 0; i < p.Dims.NonNeg; i++ {
-		r := math.Max(rowNorm(i), math.Abs(h[i]))
-		if r == 0 {
-			r = 1
-		}
-		rowScale[i] = r
-	}
-	// SOC blocks share one factor to stay a cone constraint.
-	off := p.Dims.NonNeg
-	for _, q := range p.Dims.SOC {
-		r := 0.0
-		for i := off; i < off+q; i++ {
-			if v := math.Max(rowNorm(i), math.Abs(h[i])); v > r {
-				r = v
-			}
-		}
-		if r == 0 {
-			r = 1
-		}
-		for i := off; i < off+q; i++ {
-			rowScale[i] = r
-		}
-		off += q
-	}
-	for i := 0; i < m; i++ {
-		inv := 1 / rowScale[i]
-		row := g.Data[i*n : (i+1)*n]
-		for j := range row {
-			row[j] *= inv
-		}
-		h[i] *= inv
-	}
-
-	sp := &Problem{C: c, G: g, H: h, Dims: p.Dims}
-	sc := &eqScales{costScale: costScale, rowScale: rowScale, pooledG: pooled}
-	equilibrateEq(p, sp, sc, n)
-	return sp, sc
-}
-
-// equilibrateSparse is equilibrate for problems carrying the constraint
-// matrix in CSR form. The row norms and applied scales are identical to the
-// dense path's — a row's inf-norm over stored nonzeros equals its inf-norm
-// over the full dense row — so a problem solved through either
-// representation produces bit-identical iterates. The scaled copy shares the
-// immutable pattern arrays with the caller's matrix and clones only the
-// values.
-func equilibrateSparse(p *Problem) (*Problem, *eqScales) {
+// p must carry its constraint matrix in CSR form. The scaled copy shares
+// the immutable pattern arrays with the caller's matrix and clones only the
+// values. It returns the scaled problem plus the applied scales; unscale
+// restores the solution of the original problem (x is unchanged; slacks,
+// duals, and objective values are rescaled).
+func equilibrate(p *Problem) (*Problem, *eqScales) {
 	n := len(p.C)
 	m := p.Dims.Dim()
 
@@ -125,6 +48,9 @@ func equilibrateSparse(p *Problem) (*Problem, *eqScales) {
 	rowNorm := func(i int) float64 {
 		return linalg.NormInf(g.Val[g.RowPtr[i]:g.RowPtr[i+1]])
 	}
+	// Orthant rows scale independently. Including |h| in the scale keeps
+	// loose capacity constraints (tiny coefficients, huge bound) from
+	// dominating the least-squares starting point.
 	for i := 0; i < p.Dims.NonNeg; i++ {
 		r := math.Max(rowNorm(i), math.Abs(h[i]))
 		if r == 0 {
@@ -132,6 +58,7 @@ func equilibrateSparse(p *Problem) (*Problem, *eqScales) {
 		}
 		rowScale[i] = r
 	}
+	// SOC blocks share one factor to stay a cone constraint.
 	off := p.Dims.NonNeg
 	for _, q := range p.Dims.SOC {
 		r := 0.0
@@ -163,8 +90,8 @@ func equilibrateSparse(p *Problem) (*Problem, *eqScales) {
 	return sp, sc
 }
 
-// equilibrateEq scales the equality rows of (A | b) into sp — the shared
-// tail of both equilibrate paths. No-op without equalities.
+// equilibrateEq scales the equality rows of (A | b) into sp. No-op without
+// equalities.
 func equilibrateEq(p, sp *Problem, sc *eqScales, n int) {
 	if p.A == nil {
 		return

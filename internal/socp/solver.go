@@ -32,31 +32,38 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) (*Solution, erro
 		return nil, errors.New("socp: cone dimension is zero")
 	}
 	o := opt.withDefaults()
-	if o.DenseKKT && p.G == nil {
-		return nil, errors.New("socp: DenseKKT needs a dense G, but the problem carries GSparse")
+	if o.DenseKKT && !p.DenseKKTFits() {
+		return nil, fmt.Errorf("socp: DenseKKT needs a dense %d×%d G, past DenseKKTMaxCells",
+			p.Dims.Dim(), len(p.C))
 	}
-	sp, scales := equilibrate(p, o.Cache)
+	// A dense G is accepted as input only: it is converted once, here, and
+	// solved on the CSR path like every other problem.
+	p = p.csr()
+	sp, scales := equilibrate(p)
 	s := &state{ctx: ctx, p: sp, opt: o}
 	// The warm start arrives in the original coordinates; map it into the
 	// equilibrated ones (nil on dimension mismatch or non-finite entries,
 	// which silently selects the cold start).
 	s.warm = scales.scaleWarm(s.opt.WarmStart, len(p.C))
 	sol, err := s.run()
-	// Return the borrowed pieces to the pattern cache: the factorization
-	// pipeline and the scaled-G workspace. sp (and its sparse view) is
-	// per-solve, so nothing references either after this.
+	// Return the borrowed factorization pipeline to the pattern cache; the
+	// sparse view is per-solve, so nothing references it after this.
 	if pc := s.opt.Cache; pc != nil {
-		if sp.sv != nil {
-			pc.release(sp.sv.ne)
-			sp.sv.ne = nil
-		}
-		if scales.pooledG != nil {
-			pc.releaseDense(scales.pooledG)
-			sp.G = nil
-		}
+		pc.release(s.sv.ne)
 	}
 	scales.unscale(sol)
 	return sol, err
+}
+
+// csr returns p with a dense G converted to CSR, the only carrier the
+// solver works on. A problem already in CSR form is returned as is.
+func (p *Problem) csr() *Problem {
+	if p.G == nil {
+		return p
+	}
+	q := *p
+	q.G, q.GSparse = nil, linalg.NewSparseFromDense(p.G)
+	return &q
 }
 
 // state carries the iterates and workspace of one solve.
@@ -85,7 +92,7 @@ type state struct {
 	cnorm float64
 
 	// sv is the sparse view of the (equilibrated) problem's constraint
-	// matrices; nil when Options.DenseKKT selects the dense oracle path.
+	// matrices, built once per solve; every mat-vec of the solve runs on it.
 	sv *sparseView
 	// factorBackend is the resolved sparse factorization backend
 	// (FactorSparse or FactorSupernodal, never FactorAuto); meaningful only
@@ -99,6 +106,8 @@ type state struct {
 // per-iteration vector allocations.
 type workspace struct {
 	// KKT assembly and factorization (reused every iteration).
+	gd   *linalg.Matrix // dense copy of the equilibrated G (DenseKKT only)
+	gw   *linalg.Matrix // W⁻¹G scratch of the dense assembly (DenseKKT only)
 	hmat *linalg.Matrix // Gᵀ W⁻² G (unregularized, for refinement)
 	hreg *linalg.Matrix // hmat + reg·I, the factorized matrix (pe == 0)
 	chol *linalg.Cholesky
@@ -133,8 +142,11 @@ type workspace struct {
 func (st *state) initWorkspace() {
 	n, m, pe := st.n, st.m, st.pe
 	ws := &st.ws
-	if !st.opt.DenseKKT {
-		st.sv = st.p.sparse()
+	st.sv = newSparseView(st.p)
+	if st.opt.DenseKKT {
+		// The all-dense oracle densifies G here, and only here.
+		ws.gd = st.sv.g.ToDense()
+		ws.gw = linalg.NewMatrix(m, n)
 	}
 	if st.sparseFactor() {
 		st.factorBackend = ResolveFactorization(st.opt.Factorization, n+pe)
@@ -190,57 +202,6 @@ func (st *state) sparseFactor() bool {
 	return !st.opt.DenseKKT && st.opt.Factorization != FactorDense
 }
 
-// Sparse-aware mat-vec dispatch: the CSR view when the sparse path is
-// active, the dense matrices under Options.DenseKKT.
-
-func (st *state) gMulVec(dst, x linalg.Vector) {
-	if st.sv != nil {
-		st.sv.g.MulVec(dst, x)
-	} else {
-		st.p.G.MulVec(dst, x)
-	}
-}
-
-func (st *state) gMulVecAdd(dst linalg.Vector, alpha float64, x linalg.Vector) {
-	if st.sv != nil {
-		st.sv.g.MulVecAdd(dst, alpha, x)
-	} else {
-		st.p.G.MulVecAdd(dst, alpha, x)
-	}
-}
-
-func (st *state) gMulVecTAdd(dst linalg.Vector, alpha float64, x linalg.Vector) {
-	if st.sv != nil {
-		st.sv.g.MulVecTAdd(dst, alpha, x)
-	} else {
-		st.p.G.MulVecTAdd(dst, alpha, x)
-	}
-}
-
-func (st *state) aMulVec(dst, x linalg.Vector) {
-	if st.sv != nil && st.sv.a != nil {
-		st.sv.a.MulVec(dst, x)
-	} else {
-		st.p.A.MulVec(dst, x)
-	}
-}
-
-func (st *state) aMulVecAdd(dst linalg.Vector, alpha float64, x linalg.Vector) {
-	if st.sv != nil && st.sv.a != nil {
-		st.sv.a.MulVecAdd(dst, alpha, x)
-	} else {
-		st.p.A.MulVecAdd(dst, alpha, x)
-	}
-}
-
-func (st *state) aMulVecTAdd(dst linalg.Vector, alpha float64, x linalg.Vector) {
-	if st.sv != nil && st.sv.a != nil {
-		st.sv.a.MulVecTAdd(dst, alpha, x)
-	} else {
-		st.p.A.MulVecTAdd(dst, alpha, x)
-	}
-}
-
 // kktFactor is a factorized KKT system for a fixed NT scaling. It solves
 //
 //	[ 0   Aᵀ   Gᵀ ] [x]   [bx]
@@ -271,12 +232,12 @@ func (st *state) factor(w *cone.Scaling) (*kktFactor, error) {
 	ws := &st.ws
 	f := &kktFactor{st: st, w: w, hmat: ws.hmat}
 	if st.opt.DenseKKT {
-		// Dense oracle: scale a fresh copy of G and assemble H densely.
-		gs := st.p.G.Clone()
+		// Dense oracle: scale a copy of the dense G and assemble H densely.
+		copy(ws.gw.Data, ws.gd.Data)
 		if w != nil {
-			w.ScaleRows(gs)
+			w.ScaleRows(ws.gw)
 		}
-		gs.AtAInto(ws.hmat)
+		ws.gw.AtAInto(ws.hmat)
 	} else {
 		// Sparse fast path: rewrite the values of the fixed W⁻¹G pattern,
 		// then either run the fully sparse factorization pipeline or fall
@@ -394,18 +355,18 @@ func (f *kktFactor) residual(bx, by, bz, x, y, z linalg.Vector) {
 	ws := &st.ws
 	r1 := ws.r1 // bx − Gᵀz − Aᵀy
 	r1.CopyFrom(bx)
-	st.gMulVecTAdd(r1, -1, z)
+	st.sv.g.MulVecTAdd(r1, -1, z)
 	if st.pe > 0 {
-		st.aMulVecTAdd(r1, -1, y)
+		st.sv.a.MulVecTAdd(r1, -1, y)
 	}
 	r2 := ws.r2 // by − Ax
 	r2.CopyFrom(by)
 	if st.pe > 0 {
-		st.aMulVecAdd(r2, -1, x)
+		st.sv.a.MulVecAdd(r2, -1, x)
 	}
 	r3 := ws.r3 // bz − (Gx − W²z)
 	r3.CopyFrom(bz)
-	st.gMulVecAdd(r3, -1, x)
+	st.sv.g.MulVecAdd(r3, -1, x)
 	w2z := ws.w2z
 	w2z.CopyFrom(z)
 	if f.w != nil {
@@ -430,7 +391,7 @@ func (f *kktFactor) solveOnce(bx, by, bz, dx, dy, dz linalg.Vector) {
 	// rhs = bx + Gᵀ W⁻² bz.
 	rhs := ws.rhs
 	rhs.CopyFrom(bx)
-	st.gMulVecTAdd(rhs, 1, t)
+	st.sv.g.MulVecTAdd(rhs, 1, t)
 	if faultinject.Enabled() {
 		faultinject.CorruptNaN(faultinject.SiteKKTRHS, rhs)
 	}
@@ -454,7 +415,7 @@ func (f *kktFactor) solveOnce(bx, by, bz, dx, dy, dz linalg.Vector) {
 		copy(dy, sol[st.n:])
 	}
 	// dz = W⁻² (G dx − bz).
-	st.gMulVec(dz, dx)
+	st.sv.g.MulVec(dz, dx)
 	dz.AddScaled(-1, bz)
 	if f.w != nil {
 		f.w.ApplyInv(dz, dz)
@@ -507,17 +468,17 @@ func (st *state) run() (*Solution, error) {
 		// Residuals.
 		rx := ws.rx // rx = c + Gᵀz + Aᵀy
 		rx.CopyFrom(p.C)
-		st.gMulVecTAdd(rx, 1, st.z)
+		st.sv.g.MulVecTAdd(rx, 1, st.z)
 		if st.pe > 0 {
-			st.aMulVecTAdd(rx, 1, st.y)
+			st.sv.a.MulVecTAdd(rx, 1, st.y)
 		}
 		ry := ws.ry // ry = Ax − b
 		if st.pe > 0 {
-			st.aMulVec(ry, st.x)
+			st.sv.a.MulVec(ry, st.x)
 			ry.AddScaled(-1, p.B)
 		}
 		rz := ws.rz // rz = Gx + s − h
-		st.gMulVec(rz, st.x)
+		st.sv.g.MulVec(rz, st.x)
 		linalg.Add(rz, rz, st.s)
 		rz.AddScaled(-1, p.H)
 
@@ -560,11 +521,11 @@ func (st *state) run() (*Solution, error) {
 		}
 		if pcost < 0 {
 			gx := ws.gx
-			st.gMulVec(gx, st.x)
+			st.sv.g.MulVec(gx, st.x)
 			linalg.Add(gx, gx, st.s)
 			ax := ws.ax
 			if st.pe > 0 {
-				st.aMulVec(ax, st.x)
+				st.sv.a.MulVec(ax, st.x)
 			}
 			if math.Max(linalg.Norm2(gx), linalg.Norm2(ax))/(-pcost) <= st.opt.FeasTol {
 				scaleCert(st.x, -1/pcost)
@@ -609,11 +570,11 @@ func (st *state) run() (*Solution, error) {
 			st.shiftWarm(st.s)
 			st.shiftWarm(st.z)
 			rx.CopyFrom(p.C)
-			st.gMulVecTAdd(rx, 1, st.z)
+			st.sv.g.MulVecTAdd(rx, 1, st.z)
 			if st.pe > 0 {
-				st.aMulVecTAdd(rx, 1, st.y)
+				st.sv.a.MulVecTAdd(rx, 1, st.y)
 			}
-			st.gMulVec(rz, st.x)
+			st.sv.g.MulVec(rz, st.x)
 			linalg.Add(rz, rz, st.s)
 			rz.AddScaled(-1, p.H)
 			gap = linalg.Dot(st.s, st.z)
@@ -789,7 +750,7 @@ func (st *state) warmPoint() bool {
 		return false
 	}
 	s := linalg.NewVector(st.m)
-	st.gMulVec(s, w.X)
+	st.sv.g.MulVec(s, w.X)
 	s.Scale(-1)
 	linalg.Add(s, s, st.p.H)
 	if st.p.Dims.Interior(s) {

@@ -47,17 +47,10 @@ type socBlockView struct {
 	gv []float64
 }
 
-// newSparseView builds the sparse structure for a validated problem. A
-// problem carrying GSparse uses the caller's CSR matrix directly; a dense G
-// is converted. Both give the same pattern and values, so the views solve
-// identically.
+// newSparseView builds the sparse structure for a validated problem that
+// carries its constraint matrix in CSR form, using that matrix directly.
 func newSparseView(p *Problem) *sparseView {
-	sv := &sparseView{dims: p.Dims}
-	if p.GSparse != nil {
-		sv.g = p.GSparse
-	} else {
-		sv.g = linalg.NewSparseFromDense(p.G)
-	}
+	sv := &sparseView{dims: p.Dims, g: p.GSparse}
 	if p.A != nil {
 		sv.a = linalg.NewSparseFromDense(p.A)
 	}

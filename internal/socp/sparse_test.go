@@ -163,15 +163,12 @@ func TestSparseFactorMatchesDenseOracle(t *testing.T) {
 	}
 }
 
-// TestSparseViewPattern sanity-checks the lazily built sparse view against
-// the dense G it mirrors.
+// TestSparseViewPattern sanity-checks the sparse view against the dense G
+// it mirrors.
 func TestSparseViewPattern(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := randomProblem(rng, 2+rng.Intn(5), 1+rng.Intn(4), rng.Intn(3), 0.8, true)
-	sv := p.sparse()
-	if p.sparse() != sv {
-		t.Fatal("sparse view not cached on the Problem")
-	}
+	sv := newSparseView(p.csr())
 	gd := sv.g.ToDense()
 	for i := 0; i < p.G.Rows; i++ {
 		for j := 0; j < p.G.Cols; j++ {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cone"
 	"repro/internal/linalg"
 )
 
@@ -102,17 +103,25 @@ func TestGSparseMatchesDenseG(t *testing.T) {
 	}
 }
 
-// TestDenseKKTRejectsGSparse: the all-dense oracle needs the dense G it
-// would copy into the big KKT matrix; asking for it on a CSR-only problem
-// must fail loudly instead of silently materializing gigabytes.
+// TestDenseKKTRejectsGSparse: the all-dense oracle densifies G, so asking
+// for it on a CSR problem past DenseKKTMaxCells must fail loudly instead of
+// silently materializing the dense matrix.
 func TestDenseKKTRejectsGSparse(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	p := randomProblem(rng, 6, 4, 1, 0.5, false)
-	p.GSparse = linalg.NewSparseFromDense(p.G)
-	p.G = nil
+	const n = 2048 // n·n = DenseKKTMaxCells
+	g := &linalg.SparseMatrix{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	for i := 0; i < n; i++ {
+		g.ColIdx = append(g.ColIdx, i)
+		g.Val = append(g.Val, -1)
+		g.RowPtr[i+1] = i + 1
+	}
+	h := linalg.NewVector(n)
+	p := &Problem{C: linalg.NewVector(n), GSparse: g, H: h, Dims: cone.Dims{NonNeg: n}}
+	if p.DenseKKTFits() {
+		t.Fatalf("%d×%d problem fits DenseKKTMaxCells = %d", n, n, DenseKKTMaxCells)
+	}
 	_, err := Solve(p, Options{DenseKKT: true})
 	if err == nil || !strings.Contains(err.Error(), "DenseKKT") {
-		t.Fatalf("DenseKKT on a GSparse problem: got err %v, want a DenseKKT rejection", err)
+		t.Fatalf("DenseKKT past the size limit: got err %v, want a DenseKKT rejection", err)
 	}
 }
 
@@ -166,7 +175,7 @@ func TestResolveFactorization(t *testing.T) {
 func TestPatternCacheBackendKeying(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	p := randomProblem(rng, 14, 10, 2, 0.3, false)
-	sv := p.sparse()
+	sv := newSparseView(p.csr())
 	pc := NewPatternCache()
 
 	fsp := pc.acquire(sv, FactorSparse, 1)
